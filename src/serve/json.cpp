@@ -123,9 +123,14 @@ struct Parser {
     return Json(v);
   }
 
-  Json parse_value() {
+  /// `depth` counts the arrays/objects enclosing this value; opening one
+  /// more past kMaxJsonDepth fails instead of recursing further.
+  Json parse_value(std::size_t depth = 0) {
     skip_ws();
     const char c = peek();
+    if ((c == '{' || c == '[') && depth == kMaxJsonDepth) {
+      fail(pos, "nesting deeper than " + std::to_string(kMaxJsonDepth));
+    }
     if (c == '{') {
       ++pos;
       Json obj = Json::object();
@@ -139,7 +144,7 @@ struct Parser {
         Json key = parse_string();
         skip_ws();
         expect(':');
-        obj.set(key.as_string(), parse_value());
+        obj.set(key.as_string(), parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos;
@@ -158,7 +163,7 @@ struct Parser {
         return arr;
       }
       for (;;) {
-        arr.push(parse_value());
+        arr.push(parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos;

@@ -18,6 +18,11 @@
 
 namespace sickle::serve {
 
+/// Deepest array/object nesting Json::parse accepts. The parser recurses
+/// once per level, so an unbounded depth lets one hostile line overflow
+/// the stack; protocol requests nest three levels at most.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kObject, kArray };
@@ -40,7 +45,8 @@ class Json {
   }
 
   /// Parse one complete JSON document; trailing non-space is an error.
-  /// Throws RuntimeError with a position on malformed input.
+  /// Throws RuntimeError with a position on malformed input, including
+  /// nesting deeper than kMaxJsonDepth.
   [[nodiscard]] static Json parse(const std::string& text);
 
   [[nodiscard]] Type type() const noexcept { return type_; }

@@ -57,6 +57,14 @@ void send_all(int fd, const std::string& line) {
   }
 }
 
+/// Answer an over-long request line with a protocol error; the caller
+/// then closes the connection.
+void reject_long_line(int fd) {
+  const std::string what = "request line longer than " +
+                           std::to_string(kMaxRequestLineBytes) + " bytes";
+  send_all(fd, error_response("protocol", what).dump());
+}
+
 }  // namespace
 
 ServeOptions serve_options_from_config(const Config& cfg) {
@@ -310,9 +318,19 @@ struct Server::Impl {
            nl = buf.find('\n', start)) {
         std::string line = buf.substr(start, nl - start);
         start = nl + 1;
-        if (!trim(line).empty()) open = handle_line(conn->fd, line);
+        if (line.size() > kMaxRequestLineBytes) {
+          reject_long_line(conn->fd);
+          open = false;
+        } else if (!trim(line).empty()) {
+          open = handle_line(conn->fd, line);
+        }
       }
       buf.erase(0, start);
+      // An unterminated line past the cap is refused before it grows.
+      if (open && buf.size() > kMaxRequestLineBytes) {
+        reject_long_line(conn->fd);
+        open = false;
+      }
     }
     // Close under the registry lock so stop() can't shutdown() a reused
     // fd number.
@@ -419,13 +437,15 @@ void Server::stop() {
   s.lifecycle_cv.notify_all();
   s.stopping.store(true, std::memory_order_relaxed);
 
-  // 1. Stop accepting: shutdown() unblocks accept(), then join.
+  // 1. Stop accepting: shutdown() unblocks accept(); only once the
+  //    accept thread (which reads listen_fd) has joined is the socket
+  //    closed and the descriptor reset.
+  if (s.listen_fd >= 0) ::shutdown(s.listen_fd, SHUT_RDWR);
+  if (s.accept_thread.joinable()) s.accept_thread.join();
   if (s.listen_fd >= 0) {
-    ::shutdown(s.listen_fd, SHUT_RDWR);
     ::close(s.listen_fd);
     s.listen_fd = -1;
   }
-  if (s.accept_thread.joinable()) s.accept_thread.join();
 
   // 2. Cancel every case so connection threads blocked in result-wait()
   //    unblock with CancelledError instead of deadlocking the joins below.

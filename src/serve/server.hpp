@@ -21,6 +21,7 @@
 /// slots). Hand-rolled on POSIX sockets — no new dependencies.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,6 +31,12 @@
 #include "sickle/session.hpp"
 
 namespace sickle::serve {
+
+/// Longest request line a connection buffers; a longer one gets a
+/// `protocol` error and the connection is closed. Inline case configs
+/// are a few KB, and the cap sits above 2 MB so that a deeply nested
+/// line still reaches the JSON parser and gets its typed depth error.
+inline constexpr std::size_t kMaxRequestLineBytes = 4u << 20;
 
 struct ServeOptions {
   std::string host = "127.0.0.1";

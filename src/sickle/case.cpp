@@ -18,9 +18,9 @@ std::vector<ValidationIssue> CaseConfig::validate() const {
     issues.push_back({std::move(field), std::move(message), std::move(hint)});
   };
 
-  if (backend != "memory" && backend != "skl2" && backend != "series") {
+  if (backend != "memory" && backend != "series") {
     add("store.backend", "unknown store backend: " + backend,
-        "memory | skl2 | series");
+        "memory | series");
   }
   if (ingest != "materialize" && ingest != "streaming") {
     add("store.ingest", "unknown store ingest mode: " + ingest,

@@ -3,19 +3,19 @@
 /// T1 -> T2 -> T3 workflow driven by one config.
 ///
 /// run_case is a staged streaming orchestrator: (A) ingest the dataset as
-/// a field::SeriesSource — in RAM, spilled to per-snapshot SKL2 stores,
-/// or appended to one streaming SKL3 series container — then (B) optional
-/// temporal snapshot selection over streamed per-snapshot PDFs, (C)
-/// two-phase sampling per selected snapshot with accepted points written
-/// straight into the training-set builder (no second pass over the raw
-/// data), and (D) training. All backends run the same stages, so sample
-/// sets are bit-identical across memory/skl2/series for lossless codecs.
+/// a field::SeriesSource — borrowed in RAM, or appended to one streaming
+/// SKL3 series container — then (B) optional temporal snapshot selection
+/// over streamed per-snapshot PDFs, (C) two-phase sampling per selected
+/// snapshot with accepted points written straight into the training-set
+/// builder (no second pass over the raw data), and (D) training. Both
+/// backends run the same stages, so sample sets are bit-identical across
+/// memory/series for lossless codecs.
 ///
 /// Ingest comes in two modes. "materialize" builds the full in-RAM
 /// Dataset first (the only choice for the memory backend). "streaming"
 /// consumes a flow::SnapshotProducer snapshot-at-a-time — simulate ->
 /// encode -> append -> drop — so no full Dataset ever exists for the
-/// skl2/series backends and peak ingest memory is bounded by one snapshot
+/// series backend and peak ingest memory is bounded by one snapshot
 /// plus the writer's flush budget (CaseReport::ingest_peak_bytes,
 /// test-asserted). Both modes produce bit-identical stores, sample sets,
 /// and training tensors for lossless codecs.
@@ -32,7 +32,7 @@
 #include "sampling/temporal.hpp"
 #include "sickle/dataset_zoo.hpp"
 #include "sickle/errors.hpp"
-#include "store/snapshot_store.hpp"
+#include "store/series_store.hpp"
 
 namespace sickle {
 
@@ -59,8 +59,7 @@ struct CaseConfig {
   std::size_t model_heads = 4;
   std::size_t model_layers = 1;
   /// Sampling backend: "memory" runs the staged pipeline over the in-RAM
-  /// dataset; "skl2" spills each snapshot to its own chunked compressed
-  /// store; "series" streams every snapshot into one SKL3 container
+  /// dataset; "series" streams every snapshot into one SKL3 container
   /// (amortized header/index, shared block cache) and runs selection +
   /// sampling + training-set build out-of-core. Sample sets are identical
   /// across backends for lossless codecs, at any pipeline.threads value.
@@ -68,12 +67,12 @@ struct CaseConfig {
   /// Ingest mode: "materialize" builds the full in-RAM Dataset before
   /// stage A (today's default, bit-exact legacy behavior); "streaming"
   /// feeds a SnapshotProducer straight into the spill store one snapshot
-  /// at a time (skl2/series backends; the memory backend always
+  /// at a time (series backend; the memory backend always
   /// materializes). Only meaningful for the ProducerBundle overload of
   /// run_case — a DatasetBundle is materialized by definition.
   std::string ingest = "materialize";
-  store::StoreOptions store;  ///< chunking/codec knobs for spill backends
-  /// Where spill backends place their temporary stores; empty = the
+  store::StoreOptions store;  ///< chunking/codec knobs for the series spill
+  /// Where the series backend places its temporary store; empty = the
   /// system temp directory. The spill is removed once the training set is
   /// built; on failure it is kept and its path logged to stderr.
   std::string spill_dir;
@@ -90,12 +89,13 @@ struct CaseConfig {
 
 struct CaseReport {
   std::size_t sampled_points = 0;
-  /// Wall time of the T1 stages: spill/ingest (skl2/series), temporal
+  /// Wall time of the T1 stages: spill/ingest (series), temporal
   /// selection, and the per-snapshot sampling pipeline. Training-set
   /// tensor construction and scaler fitting are T2 cost and excluded.
   double sampling_seconds = 0.0;
   double sampling_kilojoules = 0.0;
-  /// Compressed on-disk bytes of the spilled store(s) (skl2/series only).
+  /// Compressed on-disk bytes of the spilled SKL3 series (series only) —
+  /// also the high-water mark of live spill bytes on disk.
   std::size_t store_bytes = 0;
   /// Snapshot indices the temporal stage kept, ascending; empty when the
   /// stage is disabled (all snapshots were used).
@@ -110,22 +110,14 @@ struct CaseReport {
   /// guarantee, bounded by one snapshot + write_budget (+ codec slack).
   /// 0 for materialized ingest (the Dataset itself is the peak).
   std::size_t ingest_peak_bytes = 0;
-  /// High-water mark of live spill bytes on disk. memory backend: 0.
-  /// series backend and non-fused streaming skl2: the whole spilled store
-  /// (= store_bytes). Materialized skl2: one snapshot file (the
-  /// write/sample/delete contract). Fused streaming skl2 (no temporal
-  /// stage): one snapshot file — each spill is sampled and deleted before
-  /// the next is produced, so disk stays O(snapshot) for any series
-  /// length.
-  std::size_t ingest_peak_disk_bytes = 0;
   ml::TrainReport train;
   double training_kilojoules = 0.0;
   /// Per-stage telemetry, populated on every run (independent of the
   /// global obs::enabled() switch — these are per-case values, not
   /// process-cumulative registry counters). Keys: `case.*_seconds` wall
   /// times per stage, `case.sampled_points` / `case.store_bytes` /
-  /// `case.ingest_peak_bytes` mirrors of the scalar fields, and for
-  /// spill backends the reader-side `store.cache_*` / `store.io_*`
+  /// `case.ingest_peak_bytes` mirrors of the scalar fields, and for the
+  /// series backend the reader-side `store.cache_*` / `store.io_*`
   /// tallies. Keys ending in `_seconds` are wall-clock and vary run to
   /// run; everything else is bit-stable for lossless codecs at
   /// pipeline.threads == 1.
@@ -143,8 +135,8 @@ struct CaseReport {
 [[nodiscard]] CaseReport run_case(const DatasetBundle& bundle,
                                   CaseConfig cfg);
 
-/// Generator-driven form: with cfg.ingest == "streaming" and a spill
-/// backend (skl2/series), snapshots flow simulate -> encode -> append ->
+/// Generator-driven form: with cfg.ingest == "streaming" and the series
+/// backend, snapshots flow simulate -> encode -> append ->
 /// drop and no full Dataset ever exists; with "materialize" (or the
 /// memory backend) the producer is drained into a DatasetBundle first.
 /// Sample sets and training tensors are bit-identical across all backend

@@ -30,7 +30,7 @@ struct DatasetBundle {
 
 /// A dataset's variable roles plus a snapshot-at-a-time producer — the
 /// streaming-ingest twin of DatasetBundle. run_case can consume this
-/// without a full Dataset ever existing (backend skl2/series with
+/// without a full Dataset ever existing (backend series with
 /// ingest: streaming); make_dataset materializes it for in-RAM work.
 struct ProducerBundle {
   std::unique_ptr<flow::SnapshotProducer> producer;

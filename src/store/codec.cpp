@@ -21,7 +21,7 @@ void append_pod(std::vector<std::uint8_t>& out, const T& v) {
 template <typename T>
 T read_pod(std::span<const std::uint8_t> block, std::size_t& pos) {
   if (pos + sizeof(T) > block.size()) {
-    throw RuntimeError("truncated SKL2 chunk block");
+    throw RuntimeError("truncated chunk block");
   }
   T v{};
   std::memcpy(&v, block.data() + pos, sizeof(T));
@@ -94,7 +94,7 @@ std::vector<double> DeltaCodec::decode(std::span<const std::uint8_t> block,
                                        std::size_t count) const {
   const std::size_t nibble_bytes = (count + 1) / 2;
   if (block.size() < nibble_bytes) {
-    throw RuntimeError("truncated SKL2 chunk block");
+    throw RuntimeError("truncated chunk block");
   }
   std::vector<double> out(count);
   std::size_t pos = nibble_bytes;
@@ -282,7 +282,7 @@ std::vector<double> QuantCodec::decode(std::span<const std::uint8_t> block,
   for (std::size_t i = 0; i < count; ++i) {
     while (acc_bits < bits) {
       if (pos >= block.size()) {
-        throw RuntimeError("truncated SKL2 chunk block");
+        throw RuntimeError("truncated chunk block");
       }
       acc |= static_cast<std::uint64_t>(block[pos++]) << acc_bits;
       acc_bits += 8;

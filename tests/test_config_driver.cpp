@@ -111,25 +111,36 @@ TEST(ConfigDriver, ArchNormalization) {
 }
 
 TEST(ConfigDriver, StoreMapping) {
-  const auto cfg = Config::parse(R"(
+  const std::string store_section = R"(
 shared:
   dataset: SST-P1F4
 store:
-  backend: skl2
   codec: quant
   tolerance: 1e-3
   chunk: 16
   chunk_z: 8
   cache_mb: 8
-)");
-  const auto cc = case_from_config(cfg);
-  EXPECT_EQ(cc.backend, "skl2");
+)";
+  const auto cc =
+      case_from_config(Config::parse(store_section + "  backend: series\n"));
+  EXPECT_EQ(cc.backend, "series");
   EXPECT_EQ(cc.store.codec, "quant");
   EXPECT_DOUBLE_EQ(cc.store.tolerance, 1e-3);
   EXPECT_EQ(cc.store.chunk.nx, 16u);
   EXPECT_EQ(cc.store.chunk.ny, 16u);
   EXPECT_EQ(cc.store.chunk.nz, 8u);
   EXPECT_EQ(cc.store.cache_bytes, 8u << 20);
+
+  // The retired per-snapshot container is a typed store.backend issue.
+  try {
+    (void)case_from_config(
+        Config::parse(store_section + "  backend: skl2\n"));
+    FAIL() << "backend: skl2 must be rejected";
+  } catch (const ConfigError& e) {
+    ASSERT_EQ(e.issues().size(), 1u);
+    EXPECT_EQ(e.issues()[0].field, "store.backend");
+    EXPECT_EQ(e.issues()[0].hint, "memory | series");
+  }
 }
 
 TEST(ConfigDriver, SeriesBackendTemporalAndSpillMapping) {

@@ -19,7 +19,7 @@
 #include "parallel/thread_pool.hpp"
 #include "sickle/case.hpp"
 #include "sickle/dataset_zoo.hpp"
-#include "store/snapshot_store.hpp"
+#include "store/series_store.hpp"
 
 namespace sickle {
 namespace {
@@ -344,19 +344,23 @@ TEST(Case, CachePressureSurfacesEvictionsAndIoBytes) {
 }
 
 TEST(Store, ReaderExposesCacheStatsAndIoBytes) {
-  // The satellite accessors: ChunkReader::io_bytes_read() plus
+  // The reader accessors: SeriesReader::io_bytes_read() plus
   // cache_stats() evictions under pressure, without the case runner.
   const auto bundle = make_dataset("SST-P1F4", 3, 0.5);
   const auto dir = fs::temp_directory_path() / "sickle_obs_reader";
   fs::create_directories(dir);
-  const std::string path = (dir / "snap.skl2").string();
+  const std::string path = (dir / "snap.skl3").string();
   store::StoreOptions opts;
   opts.chunk = {8, 8, 8};
   opts.codec = "delta";
-  (void)store::write_store(bundle.data.snapshot(0), path, opts);
+  {
+    store::SeriesWriter writer(path, opts);
+    writer.append(bundle.data.snapshot(0));
+    (void)writer.close();
+  }
 
-  const store::ChunkReader reader(path, /*cache_bytes=*/8u << 10);
-  const auto round_trip = reader.load_snapshot();
+  const store::SeriesReader reader(path, /*cache_bytes=*/8u << 10);
+  const auto round_trip = reader.load_snapshot(0);
   EXPECT_EQ(round_trip.names(), bundle.data.snapshot(0).names());
   const auto stats = reader.cache_stats();
   EXPECT_GT(stats.misses, 0u);

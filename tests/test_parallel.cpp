@@ -15,12 +15,13 @@ namespace sickle {
 namespace {
 
 TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { ++count; });
-  }
-  pool.wait_idle();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.submit([&count] { ++count; });
+    }
+  }  // destruction drains every queued task before the workers join
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -44,7 +45,7 @@ TEST(ParallelFor, TaskExceptionsRethrowOnCaller) {
   // A throwing chunk must surface as a catchable exception on the calling
   // thread (not std::terminate in a worker). The throwing chunk abandons
   // its remaining indices; the other chunks still complete before the
-  // rethrow (wait_idle runs first).
+  // rethrow (the call's TaskGroup waits first).
   ThreadPool pool(4);
   std::atomic<int> visited{0};
   EXPECT_THROW(
@@ -79,20 +80,21 @@ TEST(TaskGroup, WaitsForExactlyItsOwnTasks) {
 
 /// The decoupling fix (ROADMAP PR 3 item): a parallel_for must complete
 /// while an unrelated task on the same pool is still blocked in flight.
-/// Under the old pool-wide wait_idle this deadlocks — parallel_for would
-/// wait for the blocked stranger too.
+/// Under a pool-wide wait this deadlocks — parallel_for would wait for
+/// the blocked stranger too.
 TEST(TaskGroup, ParallelForDoesNotWaitOnStrangersTasks) {
   ThreadPool pool(2);
   std::promise<void> release;
   std::shared_future<void> released(release.get_future());
-  pool.submit([released] { released.wait(); });  // occupies one worker
+  TaskGroup stranger(pool);
+  stranger.run([released] { released.wait(); });  // occupies one worker
 
   std::atomic<int> count{0};
   parallel_for(100, [&](std::size_t) { ++count; }, &pool, 1);
   EXPECT_EQ(count.load(), 100);  // finished while the blocker still runs
 
   release.set_value();
-  pool.wait_idle();
+  stranger.wait();
 }
 
 /// Overlapping parallel_for calls from concurrent host threads on one

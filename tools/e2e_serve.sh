@@ -5,7 +5,9 @@
 #      prints for the same config (the daemon is a transport, not a
 #      numerics fork),
 #   2. the metrics verb reports all submissions and the shared cache,
-#   3. SIGTERM shuts the daemon down cleanly (exit 0, farewell line).
+#   3. a hostile line of 2,000,000 nested '[' gets a typed protocol error
+#      first, and the daemon goes on to serve the real cases,
+#   4. SIGTERM shuts the daemon down cleanly (exit 0, farewell line).
 #
 # Usage: tools/e2e_serve.sh [path/to/sickle_serve] [path/to/sickle_train]
 # Local repro:  cmake -B build -S . && cmake --build build -j
@@ -94,6 +96,22 @@ if [[ -z "$port" ]]; then
   exit 1
 fi
 echo "daemon pid $serve_pid on port $port"
+
+echo "=== hostile line: 2,000,000 nested '[' must get a typed protocol error"
+python3 - "$port" <<'EOF'
+import json, socket, sys
+with socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=30) as s:
+    s.sendall(b"[" * 2_000_000 + b"\n")
+    buf = b""
+    while not buf.endswith(b"\n"):
+        chunk = s.recv(4096)
+        if not chunk:
+            sys.exit("error: daemon closed the connection without a response")
+        buf += chunk
+resp = json.loads(buf)
+assert resp.get("ok") is False and resp.get("code") == "protocol", resp
+print(f"    {resp['code']}: {resp['error']}")
+EOF
 
 echo "=== submitting $NUM_CASES concurrent cases"
 pids=()

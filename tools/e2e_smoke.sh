@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end smoke: run the config-driven case runner on a tiny dataset
-# for every backend (memory | skl2 | series) x ingest mode (materialize |
+# for every backend (memory | series) x ingest mode (materialize |
 # streaming), then for every lossless codec (raw | delta | gorilla, plus
 # zstd when the binary was built with it) on the series/streaming
 # backend, then with reader-side async prefetch on, and verify that the
 # sample-set hash and the test loss are identical across every run — the
 # bit-identity contract the staged orchestrator promises for lossless
-# codecs.
+# codecs. A retired backend name must fail with the typed config error.
 #
 # Usage: tools/e2e_smoke.sh [path/to/sickle_train]
 # Local repro:  cmake -B build -S . && cmake --build build -j --target sickle_train
@@ -95,11 +95,26 @@ check_combo() {
   runs=$((runs + 1))
 }
 
-for backend in memory skl2 series; do
+for backend in memory series; do
   for ingest in materialize streaming; do
     check_combo "$backend" "$ingest" delta
   done
 done
+
+# Negative combo: the retired per-snapshot container is no backend; the
+# config must be refused with the typed store.backend issue, not run.
+echo "=== backend=skl2 (must be rejected)"
+write_cfg "$workdir/case_skl2.yaml" skl2 streaming delta
+if "$BIN" "$workdir/case_skl2.yaml" > /dev/null 2> "$workdir/skl2.err"; then
+  echo "error: backend skl2 was accepted" >&2
+  exit 1
+fi
+grep -F "store.backend: unknown store backend: skl2 (memory | series)" \
+  "$workdir/skl2.err" || {
+  echo "error: backend skl2 failed without the typed config error:" >&2
+  cat "$workdir/skl2.err" >&2
+  exit 1
+}
 
 # Codec sweep on the most demanding path (series container + streaming
 # ingest): every lossless codec must leave the sample hash and training

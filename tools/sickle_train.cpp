@@ -5,7 +5,7 @@
 // Runs the full case (subsample -> train -> evaluate) and prints the lines
 // the paper's analysis greps for: "Evaluation on test set" and
 // "Total Energy Consumed". The dataset flows through the generator
-// producer, so `store.ingest: streaming` with an skl2/series backend
+// producer, so `store.ingest: streaming` with the series backend
 // runs the whole T1 path without materializing a Dataset. The
 // "sample set hash" line fingerprints the sampled cubes — CI diffs it
 // across backend x ingest combinations to prove bit-identity.

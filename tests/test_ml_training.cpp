@@ -1,4 +1,4 @@
-// Tests: optimizers, scheduler, precision emulation, trainer, DDP, HPO.
+// Tests: optimizers, scheduler, precision emulation, trainer, HPO.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "ml/models.hpp"
 #include "ml/optim.hpp"
 #include "ml/trainer.hpp"
-#include "parallel/world.hpp"
 
 namespace sickle::ml {
 namespace {
@@ -180,31 +179,6 @@ TEST(Trainer, LstmLearnsSineContinuation) {
   cfg.lr = 5e-3;
   const auto report = fit(model, data, cfg);
   EXPECT_LT(report.test_loss, 0.05);
-}
-
-TEST(Trainer, DdpMatchesGradientAveragingSemantics) {
-  // 2-rank DDP on identical data halves must produce a *working* model;
-  // exact equality with serial isn't required (batch sharding changes the
-  // effective batch statistics) but convergence is.
-  World world(2);
-  std::vector<double> losses(2, 1e9);
-  world.run([&](Comm& comm) {
-    Rng rng(8);
-    TensorDataset data = linear_dataset(128, rng);
-    Rng mrng(9);  // identical init on both ranks
-    Sequential model;
-    model.push(std::make_unique<Dense>(1, 8, mrng));
-    model.push(std::make_unique<ActivationLayer>(Activation::kTanh));
-    model.push(std::make_unique<Dense>(8, 1, mrng));
-    TrainConfig cfg;
-    cfg.epochs = 40;
-    cfg.lr = 1e-2;
-    const auto report = fit(model, data, cfg, &comm);
-    losses[comm.rank()] = report.test_loss;
-  });
-  EXPECT_LT(losses[0], 0.02);
-  // Ranks end with identical models (same allreduced gradients).
-  EXPECT_DOUBLE_EQ(losses[0], losses[1]);
 }
 
 TEST(Trainer, PrecisionEmulationStillConverges) {

@@ -359,27 +359,33 @@ TEST_F(StoreTest, TrailingIndexWriterBoundsBufferedBytes) {
   }
 }
 
-/// Legacy v1 files (no summary block, no checksums) stay readable after
-/// the format bumps, and the legacy writer remains reachable for compat
-/// tooling; a version the store does not know is refused.
-TEST_F(StoreTest, LegacyV1LayoutStillRoundTrips) {
-  const auto snap = make_snapshot();
+/// SKL3 has one format version. A sealed file whose header names any
+/// other version (earlier layouts, a future one, garbage) is refused with
+/// a typed RuntimeError before a byte of its index is parsed.
+TEST_F(StoreTest, SealedFileOfAnotherVersionIsRefused) {
   StoreOptions opts;
   opts.chunk = {4, 4, 4};
-  opts.format_version = 1;
-  write_one(snap, "v1.skl3", opts);
-  const SeriesReader reader(path("v1.skl3"));
-  EXPECT_EQ(reader.format_version(), 1u);
-  const auto loaded = reader.load_snapshot(0);
-  for (const auto& name : snap.names()) {
-    const auto want = snap.get(name).data();
-    const auto got = loaded.get(name).data();
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(want[i], got[i]);
+  write_one(make_snapshot(), "other.skl3", opts);
+  for (const std::uint32_t version : {1u, 3u, 5u, 0xFFFFFFFFu}) {
+    {
+      std::fstream f(path("other.skl3"),
+                     std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(4);  // the u32 version follows the 4-byte magic
+      f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    try {
+      SeriesReader reader(path("other.skl3"));
+      ADD_FAILURE() << "version " << version << " must be refused";
+    } catch (const RuntimeError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported SKL3 version"),
+                std::string::npos)
+          << e.what();
+    } catch (const CheckError& e) {
+      ADD_FAILURE() << "version " << version
+                    << " gave a CheckError, not a typed RuntimeError: "
+                    << e.what();
     }
   }
-  EXPECT_THROW(SeriesWriter(path("v9.skl3"), {.format_version = 9}),
-               CheckError);
 }
 
 TEST_F(StoreTest, V2IndexByteFlipFailsChecksum) {

@@ -156,7 +156,7 @@ void run_lstm_drag_case(const Config& cfg, const CaseConfig& cc,
 
   std::printf("model parameters: %zu\n", tr.parameters);
   std::printf("final train loss: %.6f\n", tr.final_train_loss);
-  std::printf("Evaluation on test set: %.6f\n", tr.test_loss);
+  std::printf("Evaluation on test set: %.17g\n", tr.test_loss);
   std::printf("Elapsed Time: %.3f s\n", sampling_seconds + tr.seconds);
   std::printf("Total Energy Consumed: %.6f kJ\n",
               sampling_energy.projected_kilojoules() +
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
       }
       std::printf("model parameters: %zu\n", report.train.parameters);
       std::printf("final train loss: %.6f\n", report.train.final_train_loss);
-      std::printf("Evaluation on test set: %.6f\n", report.train.test_loss);
+      std::printf("Evaluation on test set: %.17g\n", report.train.test_loss);
       std::printf("Elapsed Time: %.3f s\n",
                   report.sampling_seconds + report.train.seconds);
       std::printf("Total Energy Consumed: %.6f kJ\n",
